@@ -7,7 +7,7 @@
 //	GET  /metrics     Prometheus text exposition of the obs registry
 //
 // The daemon caches compiled artifacts across requests (content hash ×
-// engine × plan, single-flighted), bounds concurrency with a worker pool
+// engine × plan, single-flighted), bounds cold compiles with a worker pool
 // and a shedding queue, enforces per-request deadlines, and drains
 // in-flight analyses on SIGINT/SIGTERM before exiting.
 //
@@ -44,8 +44,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8321", "listen address")
-	workers := flag.Int("workers", 0, "max concurrent analyses (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "max queued requests before shedding with 503")
+	workers := flag.Int("workers", 0, "max concurrent cold compiles (0 = GOMAXPROCS)")
+	queue := flag.Int("queue", 64, "max queued compiles before shedding with 503")
 	cacheSize := flag.Int("cache", 128, "compiled-artifact LRU capacity")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/profiler"
 	"repro/internal/report"
 )
 
@@ -162,6 +163,22 @@ func (c *Collector) CheckProc(a *analysis.Proc) error {
 	}
 	c.diags = append(c.diags, d...)
 	return nil
+}
+
+// CheckPlans runs the "plan" pass over plans the caller already built —
+// a pipeline's own, possibly loaded from the artifact cache — instead of
+// planning every procedure a second time, as the per-procedure pass does.
+// Callers leave "plan" out of Opts.Passes when they use it.
+func (c *Collector) CheckPlans(plans profiler.Plans) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name, p := range plans {
+		for _, d := range VerifyPlan(p) {
+			d.Pass = "plan"
+			d.Proc = name
+			c.diags = append(c.diags, d)
+		}
+	}
 }
 
 // Gate is the shared -check behaviour of the pipeline commands: it prints

@@ -370,7 +370,7 @@ func (p *Pipeline) Profile(opts interp.Options, seeds ...uint64) (profiler.Progr
 // after the seed in flight. Individual engine runs are bounded by
 // opts.MaxSteps, so cancellation latency is at most one seed's step
 // budget — the engines' fused dispatch loops stay free of cancellation
-// checks by design (see the twin-loop note in DESIGN §14).
+// checks by design (see the register-resident dispatch loop in DESIGN §13).
 func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ...uint64) (profiler.ProgramProfile, *interp.Result, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
@@ -404,6 +404,18 @@ func (p *Pipeline) ProfileCtx(ctx context.Context, opts interp.Options, seeds ..
 	if interp.EffectiveEngine(eng) == interp.EngineVMBatch && opts.OnNode == nil {
 		if prog, err := p.compiledVM(); err == nil {
 			return p.profileBatch(prog, recoverRun, opts, seeds, workers)
+		}
+	}
+	if opts.PathSpec != nil && interp.EffectiveEngine(eng).VMBased() && opts.OnNode == nil {
+		// Build the path-instrumented bytecode before the seed loop, so the
+		// first seed's profile.run span does not pay for compiling it.
+		if prog, err := p.compiledVM(); err == nil {
+			sp := p.Trace.Start("compile")
+			err = prog.Instrument(opts.PathSpec)
+			sp.End()
+			if err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 

@@ -5,9 +5,11 @@ import "repro/internal/cfg"
 // Ball–Larus path profiling: engine-facing instrumentation spec and counter
 // storage. The numbering itself (dummy-edge construction, increment values,
 // decode back to edge frequencies) lives in internal/pathprof; this file
-// only defines the contract both execution engines implement so that a
-// path-instrumented run is bit-identical across the tree-walker, the VM and
-// the batched VM.
+// only defines the runtime protocol, so that a path-instrumented run is
+// bit-identical across the tree-walker (which interprets the spec in
+// loopPaths, the reference semantics) and the VM and batched VM (which
+// compile it into a per-spec variant of the bytecode: a counter stub on
+// each edge with path work, the register in frame slots).
 //
 // The runtime protocol per activation: a path register r starts at 0; taking
 // the k-th out-edge of node n adds Inc[n][k]; when Bump[n][k] is set (back
@@ -26,7 +28,8 @@ const PathDenseLimit = 4096
 
 // PathProcSpec instruments one procedure. Inc/Bump/Reset are indexed
 // [node][k] parallel to Counts.Edge (the k-th out-edge of node in OutEdges
-// order), so both engines apply them exactly where they already count edges.
+// order), so the tree-walker applies them where it counts an edge and the
+// VM compiler places its stubs on the jumps that count the same edge.
 type PathProcSpec struct {
 	// NumPaths is the number of acyclic paths (valid counter ids are
 	// 0..NumPaths-1).

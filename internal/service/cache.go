@@ -19,12 +19,15 @@ import (
 )
 
 // artifact is one compiled analysis pipeline, cached across requests and
-// keyed by source hash × engine × plan. The zero value is "not compiled
-// yet"; compile runs under the sync.Once, so concurrent requests for the
-// same key single-flight onto exactly one front-end run and every waiter
-// shares the result.
+// keyed by source hash × engine × plan. The request whose lookup inserted
+// the entry owns it: only that request takes a worker slot and runs
+// compile (or abandon, when it is never admitted), which closes done.
+// Every other request for the key waits on done and shares the result, so
+// concurrent identical requests single-flight onto one front-end run.
 type artifact struct {
-	once sync.Once
+	// done is closed once the owner finished; the fields below are
+	// read-only from then on.
+	done chan struct{}
 
 	// pipe is the loaded pipeline; nil when the front end failed.
 	pipe *core.Pipeline
@@ -41,6 +44,28 @@ type artifact struct {
 	compileMs float64
 }
 
+func newArtifact() *artifact { return &artifact{done: make(chan struct{})} }
+
+// abandon records an owner that never got to compile — shed at a full
+// queue, or its deadline expired while queued — and releases the waiters
+// with the same error. The failure is transient: the caller drops the
+// entry, so the next request for the key tries again.
+func (a *artifact) abandon(err error) {
+	a.err = err
+	a.transient = true
+	close(a.done)
+}
+
+// wait blocks until the owner finished, or ctx ends first.
+func (a *artifact) wait(ctx context.Context) error {
+	select {
+	case <-a.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // compile runs the front end once: parse → lower → analyze with the static
 // check passes, then warms the artifact's derived caches (counter plans,
 // and the bytecode program when the engine wants it) so cache hits skip
@@ -48,53 +73,68 @@ type artifact struct {
 // the artifact outlives the requester — but bounded by the server's
 // compile budget.
 func (a *artifact) compile(src string, eng interp.Engine, strat core.Strategy, budget time.Duration, disk *artstore.Store) {
-	a.once.Do(func() {
-		t0 := time.Now()
-		defer func() { a.compileMs = float64(time.Since(t0)) / float64(time.Millisecond) }()
-		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		defer cancel()
-		collector := &check.Collector{}
-		pipe, err := core.LoadCtx(ctx, src, core.LoadOptions{
-			CheckProc: collector.CheckProc,
-			Engine:    eng,
-			Plan:      strat,
-			Cache:     disk,
-		})
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				a.err = fmt.Errorf("front end exceeded compile budget: %w", err)
-				a.transient = true
-				return
-			}
-			var se *lang.SyntaxError
-			if errors.As(err, &se) {
-				a.diags = []report.Diagnostic{{
-					Severity: report.Error, Pass: "parse",
-					Line: se.Line, Col: se.Col, Message: se.Msg,
-				}}
-				return
-			}
+	defer close(a.done)
+	t0 := time.Now()
+	defer func() { a.compileMs = float64(time.Since(t0)) / float64(time.Millisecond) }()
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	collector := &check.Collector{Opts: check.Options{Passes: perProcPasses}}
+	pipe, err := core.LoadCtx(ctx, src, core.LoadOptions{
+		CheckProc: collector.CheckProc,
+		Engine:    eng,
+		Plan:      strat,
+		Cache:     disk,
+	})
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			a.err = fmt.Errorf("front end exceeded compile budget: %w", err)
+			a.transient = true
+			return
+		}
+		var se *lang.SyntaxError
+		if errors.As(err, &se) {
 			a.diags = []report.Diagnostic{{
-				Severity: report.Error, Pass: "parse", Message: err.Error(),
+				Severity: report.Error, Pass: "parse",
+				Line: se.Line, Col: se.Col, Message: se.Msg,
 			}}
 			return
 		}
-		diags, err := collector.Diagnostics()
-		if err != nil {
-			a.err = err
-			return
-		}
-		if _, err := pipe.Plans(); err != nil {
-			a.err = fmt.Errorf("counter planning: %w", err)
-			return
-		}
-		// Trigger the one-time bytecode compile now (a bailout is cached
-		// and surfaces as the engine-fallback warning, not an error).
-		pipe.EngineFallback()
-		a.diags = diags
-		a.pipe = pipe
-	})
+		a.diags = []report.Diagnostic{{
+			Severity: report.Error, Pass: "parse", Message: err.Error(),
+		}}
+		return
+	}
+	plans, err := pipe.Plans()
+	if err != nil {
+		a.err = fmt.Errorf("counter planning: %w", err)
+		return
+	}
+	collector.CheckPlans(plans)
+	diags, err := collector.Diagnostics()
+	if err != nil {
+		a.err = err
+		return
+	}
+	// Trigger the one-time bytecode compile now (a bailout is cached
+	// and surfaces as the engine-fallback warning, not an error).
+	pipe.EngineFallback()
+	a.diags = diags
+	a.pipe = pipe
 }
+
+// perProcPasses are the check passes compile runs during analysis: all but
+// "plan", which would build each procedure's counter plan a second time.
+// compile proves the plans the pipeline deploys instead (CheckPlans); on an
+// artifact-cache hit those are loaded from disk, not rebuilt.
+var perProcPasses = func() []string {
+	var out []string
+	for _, name := range check.PassNames() {
+		if name != "plan" {
+			out = append(out, name)
+		}
+	}
+	return out
+}()
 
 // failed reports whether the artifact holds a front-end failure rather
 // than a usable pipeline (its diags then carry the findings).
@@ -128,8 +168,9 @@ func newLRUCache(max int) *lruCache {
 }
 
 // get returns the artifact for key, creating it on miss; the second
-// result reports a hit. The artifact may not be compiled yet — callers
-// run artifact.compile, which single-flights.
+// result reports a hit. On a miss the caller owns the new artifact and
+// must compile or abandon it; on a hit it may still be compiling, so the
+// caller waits on it.
 func (c *lruCache) get(key string) (*artifact, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -137,7 +178,7 @@ func (c *lruCache) get(key string) (*artifact, bool) {
 		c.ll.MoveToFront(el)
 		return el.Value.(*lruEntry).art, true
 	}
-	art := &artifact{}
+	art := newArtifact()
 	c.idx[key] = c.ll.PushFront(&lruEntry{key: key, art: art})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()

@@ -11,7 +11,7 @@ import (
 var errShed = errors.New("service: at capacity")
 
 // limiter is the global worker-pool admission control: at most `workers`
-// analyses run concurrently, at most `queue` more wait for a slot, and
+// cold compiles run concurrently, at most `queue` more wait for a slot, and
 // anything beyond that is shed immediately. Waiting is cancellable, so a
 // request whose deadline expires in the queue leaves without running.
 type limiter struct {
@@ -72,5 +72,5 @@ func (l *limiter) depth() int {
 	return l.waiting
 }
 
-// running reports the number of analyses currently holding a worker slot.
+// running reports the number of compiles currently holding a worker slot.
 func (l *limiter) running() int { return len(l.sem) }

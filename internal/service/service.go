@@ -34,9 +34,13 @@ import (
 
 // Config tunes the service; the zero value gets sensible defaults from New.
 type Config struct {
-	// Workers bounds concurrently running analyses (≤ 0: GOMAXPROCS).
+	// Workers bounds concurrently running cold compiles (≤ 0:
+	// GOMAXPROCS). Only the request that compiles an artifact takes a
+	// worker slot, and only for the compile: cache hits, and requests
+	// waiting on another request's compile of the same key, are never
+	// queued or shed.
 	Workers int
-	// Queue bounds requests waiting for a worker slot; anything beyond is
+	// Queue bounds compiles waiting for a worker slot; anything beyond is
 	// shed with 503 + Retry-After (< 0: 0, i.e. shed when all busy).
 	Queue int
 	// CacheSize bounds the compiled-artifact LRU (≤ 0: 128 entries).
@@ -231,7 +235,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Point-in-time gauges are set at scrape so the registry never needs
 	// per-request gauge churn.
-	s.reg.SetGauge("service.inflight", float64(s.lim.running()))
+	s.reg.SetGauge("service.inflight", float64(s.lim.running())) // compiles holding a slot
 	s.reg.SetGauge("service.queue_depth", float64(s.lim.depth()))
 	s.reg.SetGauge("service.cache_entries", float64(s.cache.len()))
 	p50, p99 := s.latencyQuantiles()
@@ -305,26 +309,12 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Per-request trace: queue wait, compile (zero-width on a warm hit),
-	// profile, estimate. The compiled artifact is shared across requests,
-	// so its pipeline carries no trace; the request measures around it.
+	// Per-request trace: queue wait (zero-width unless this request
+	// compiles), compile (on a hit, the wait for an in-flight compile of
+	// the same key), profile, estimate. The compiled artifact is shared
+	// across requests, so its pipeline carries no trace; the request
+	// measures around it.
 	tr := obs.NewTrace()
-
-	sp := tr.Start("queue_wait")
-	err = s.lim.acquire(ctx)
-	sp.End()
-	if err != nil {
-		if errors.Is(err, errShed) {
-			s.reg.Add("service.shed_total", 1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, "queue full, retry later")
-			return
-		}
-		s.reg.Add("service.timeout_total", 1)
-		s.writeError(w, http.StatusGatewayTimeout, "timed out waiting for a worker")
-		return
-	}
-	defer s.lim.release()
 
 	resolvedEng := interp.EffectiveEngine(eng)
 	resolvedStrat := core.EffectiveStrategy(strat)
@@ -335,16 +325,40 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.reg.Add("service.cache_misses_total", 1)
 	}
+	// Admission guards the compile only: the owner of a new entry holds a
+	// worker slot for the front end and releases it before profiling.
+	sp := tr.Start("queue_wait")
+	if !hit {
+		err = s.lim.acquire(ctx)
+	}
+	sp.End()
+	if err != nil {
+		if !errors.Is(err, errShed) {
+			err = fmt.Errorf("timed out waiting for a worker: %w", err)
+		}
+		art.abandon(err)
+		s.cache.drop(key, art)
+		s.writeTransient(w, err)
+		return
+	}
 	sp = tr.Start("compile")
-	art.compile(req.Source, resolvedEng, resolvedStrat, s.cfg.RequestTimeout, s.cfg.DiskCache)
+	if !hit {
+		func() {
+			defer s.lim.release()
+			art.compile(req.Source, resolvedEng, resolvedStrat, s.cfg.RequestTimeout, s.cfg.DiskCache)
+		}()
+	} else if err := art.wait(ctx); err != nil {
+		sp.End()
+		s.writeTransient(w, fmt.Errorf("timed out waiting for the compile: %w", err))
+		return
+	}
 	sp.End(obs.M("cold_ms", art.compileMs))
 	if art.err != nil {
 		if art.transient {
-			// Do not poison the cache with a deadline-shaped failure: the
-			// next request recompiles under its own budget.
+			// Do not poison the cache with a deadline-shaped or unadmitted
+			// compile: the next request recompiles under its own budget.
 			s.cache.drop(key, art)
-			s.reg.Add("service.timeout_total", 1)
-			s.writeError(w, http.StatusGatewayTimeout, art.err.Error())
+			s.writeTransient(w, art.err)
 			return
 		}
 		s.reg.Add("service.errors_total", 1)
@@ -456,6 +470,20 @@ func (s *Service) writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *Service) writeError(w http.ResponseWriter, code int, msg string) {
 	s.writeJSON(w, code, errorReply{Error: msg})
+}
+
+// writeTransient answers a compile that did not happen or did not finish:
+// 503 + Retry-After when its owner was shed at a full queue, 504 when a
+// deadline expired first.
+func (s *Service) writeTransient(w http.ResponseWriter, err error) {
+	if errors.Is(err, errShed) {
+		s.reg.Add("service.shed_total", 1)
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, "queue full, retry later")
+		return
+	}
+	s.reg.Add("service.timeout_total", 1)
+	s.writeError(w, http.StatusGatewayTimeout, err.Error())
 }
 
 // observeLatency folds one analyze duration into the sliding window.

@@ -8,11 +8,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	artstore "repro/internal/artifact"
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -152,6 +157,117 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 }
 
+// TestAdmissionGuardsOnlyTheCompile holds the only worker slot with a
+// compile in flight (the test owns the artifact entry and plays the slow
+// front end) under a zero-length queue. A cache hit for another source
+// must still return 200 without queueing, and a request for the source
+// being compiled must join that compile instead of being shed.
+func TestAdmissionGuardsOnlyTheCompile(t *testing.T) {
+	reg := &obs.Registry{}
+	svc := New(Config{Workers: 1, Queue: 0, Metrics: reg})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	if resp, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Source: srcOK}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d", resp.StatusCode)
+	}
+
+	eng, _ := interp.ParseEngine("")
+	strat, _ := core.ParseStrategy("")
+	slowSrc := strings.Replace(srcOK, "S = 0", "S = 1", 1)
+	key := cacheKey(slowSrc, interp.EffectiveEngine(eng), core.EffectiveStrategy(strat))
+	art, hit := svc.cache.get(key)
+	if hit {
+		t.Fatal("slow source already cached")
+	}
+	if err := svc.lim.acquire(context.Background()); err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+
+	resp, out := postAnalyze(t, ts.URL, AnalyzeRequest{Source: srcOK})
+	if resp.StatusCode != http.StatusOK || !out.CacheHit {
+		t.Fatalf("hit behind a busy worker: status %d, cache_hit %v; want 200 from the cache", resp.StatusCode, out.CacheHit)
+	}
+	for _, sp := range out.Spans {
+		if sp.Name == "queue_wait" && sp.WallMs > 1 {
+			t.Errorf("cache hit waited %.3f ms for a worker", sp.WallMs)
+		}
+	}
+
+	joined := make(chan int, 1)
+	go func() {
+		resp, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Source: slowSrc})
+		joined <- resp.StatusCode
+	}()
+	select {
+	case code := <-joined:
+		t.Fatalf("request for an in-flight compile returned %d before the compile finished", code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	art.compile(slowSrc, interp.EffectiveEngine(eng), core.EffectiveStrategy(strat), time.Minute, nil)
+	svc.lim.release()
+	if code := <-joined; code != http.StatusOK {
+		t.Fatalf("joined request: status %d, want 200", code)
+	}
+	if got := counter(reg, "service.shed_total"); got != 0 {
+		t.Errorf("shed_total = %v, want 0", got)
+	}
+}
+
+// TestCompileDiagnosticsMatchFullCheck pins that compile's check flow —
+// every pass but "plan" during analysis, then the deployed plans proven
+// through CheckPlans — reports exactly what running every pass during
+// analysis reports, for a cold compile and for one whose plans come from
+// the disk store.
+func TestCompileDiagnosticsMatchFullCheck(t *testing.T) {
+	const src = `      PROGRAM LINTY
+      INTEGER I, S, K
+      S = 0
+      K = 3
+      IF (K .GT. 5) THEN
+         S = 1
+      ENDIF
+      DO 10 I = 1, 0
+         S = S + I
+   10 CONTINUE
+      CALL WORK(K, S)
+      PRINT *, S
+      END
+
+      SUBROUTINE WORK(N, T)
+      INTEGER N, J, T
+      DO 20 J = 1, N
+         IF (RAND() .GE. 0.5) T = T + J
+   20 CONTINUE
+      END
+`
+	full := &check.Collector{}
+	if _, err := core.LoadOpts(src, core.LoadOptions{CheckProc: full.CheckProc}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Diagnostics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("source raises no diagnostics; the comparison would be vacuous")
+	}
+	store, err := artstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"cold", "from disk"} {
+		art := newArtifact()
+		art.compile(src, interp.EngineVM, core.StrategySarkar, time.Minute, store)
+		if art.err != nil || art.failed() {
+			t.Fatalf("%s: compile failed: %v %v", pass, art.err, art.diags)
+		}
+		if !reflect.DeepEqual(art.diags, want) {
+			t.Errorf("%s: diagnostics\n%v\nwant\n%v", pass, art.diags, want)
+		}
+	}
+}
+
 // TestQueueWaitRespectsDeadline parks a request in the wait queue behind a
 // held worker slot and lets its deadline expire there: 504, not a hang.
 func TestQueueWaitRespectsDeadline(t *testing.T) {
@@ -192,9 +308,10 @@ func TestShutdownDrains(t *testing.T) {
 		done <- result{resp.StatusCode, out.CacheHit}
 	}()
 
-	// Wait until the slow request holds a worker slot.
+	// Wait until the slow request reached the artifact cache (it holds a
+	// worker slot only while it compiles, so poll the cache, not the pool).
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.lim.running() == 0 {
+	for svc.cache.len() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow request never started running")
 		}

@@ -146,6 +146,10 @@ func (p *Program) RunBatch(opt interp.Options, seeds []uint64, lanes int, sink i
 		o.Engine = interp.EngineTree
 		return interp.RunBatch(p.res, o, seeds, lanes, sink)
 	}
+	p, err := p.forSpec(opt.PathSpec)
+	if err != nil {
+		return interp.BatchStats{}, err
+	}
 	if lanes <= 0 {
 		lanes = runtime.GOMAXPROCS(0)
 	}

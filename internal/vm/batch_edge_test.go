@@ -1,11 +1,13 @@
 package vm
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/cost"
 	"repro/internal/interp"
+	"repro/internal/lower"
 	"repro/internal/pathprof"
 	"repro/internal/profiler"
 	"repro/internal/progen"
@@ -109,24 +111,12 @@ func TestBatchSingleLanePathReuse(t *testing.T) {
       END
 `
 	res := lowerSrc(t, src)
-	ap, err := analysis.AnalyzeProgram(res)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	sk, err := profiler.BuildPlans(ap)
-	if err != nil {
-		t.Fatalf("sarkar plans: %v", err)
-	}
-	bl, err := pathprof.BuildPlansWith(ap, sk, pathprof.Options{})
-	if err != nil {
-		t.Fatalf("path plans: %v", err)
-	}
 	prog, err := Compile(res)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	m := cost.Optimized
-	opt := interp.Options{MaxSteps: 100000, Model: &m, PathSpec: bl.Spec()}
+	opt := interp.Options{MaxSteps: 100000, Model: &m, PathSpec: pathSpec(t, res, false)}
 	seeds := make([]uint64, 30)
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
@@ -220,6 +210,27 @@ func diffPaths(tree, vm *interp.Result) string {
 				return "proc " + name + ": partials order differs"
 			}
 		}
+		if !maps.Equal(tc.Pairs, vc.Pairs) {
+			return "proc " + name + ": path pair counts differ"
+		}
 	}
 	return ""
+}
+
+// pathSpec builds the whole-program Ball–Larus spec for res.
+func pathSpec(t *testing.T, res *lower.Result, multiIter bool) *interp.PathSpec {
+	t.Helper()
+	ap, err := analysis.AnalyzeProgram(res)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	sk, err := profiler.BuildPlans(ap)
+	if err != nil {
+		t.Fatalf("sarkar plans: %v", err)
+	}
+	bl, err := pathprof.BuildPlansWith(ap, sk, pathprof.Options{MultiIter: multiIter})
+	if err != nil {
+		t.Fatalf("path plans: %v", err)
+	}
+	return bl.Spec()
 }

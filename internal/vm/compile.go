@@ -47,7 +47,7 @@ func Compile(res *lower.Result) (*Program, error) {
 // fallbacks show up in perf data instead of hiding behind identical
 // results.
 func CompileOpts(res *lower.Result, opt CompileOptions) (*Program, error) {
-	prog, err := compileAll(res, opt)
+	prog, err := compileAll(res, opt, nil)
 	if err != nil {
 		obs.Default.Add("vm.compile_bailouts", 1)
 		return nil, err
@@ -56,7 +56,9 @@ func CompileOpts(res *lower.Result, opt CompileOptions) (*Program, error) {
 	return prog, nil
 }
 
-func compileAll(res *lower.Result, opt CompileOptions) (*Program, error) {
+// compileAll compiles every procedure; a non-nil spec compiles its path
+// counters into the procedures it instruments (see route).
+func compileAll(res *lower.Result, opt CompileOptions, spec *interp.PathSpec) (*Program, error) {
 	if res.Main == nil {
 		return nil, fmt.Errorf("vm: program has no main unit")
 	}
@@ -65,12 +67,16 @@ func compileAll(res *lower.Result, opt CompileOptions) (*Program, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	p := &Program{res: res, byName: make(map[string]int, len(names))}
+	p := &Program{res: res, byName: make(map[string]int, len(names)), noFuse: opt.NoFuse}
 	for i, name := range names {
 		p.byName[name] = i
 	}
 	for _, name := range names {
-		pc, err := compileProc(res, res.Procs[name], p.byName, false)
+		var ps *interp.PathProcSpec
+		if spec != nil {
+			ps = spec.Procs[name]
+		}
+		pc, err := compileProc(res, res.Procs[name], p.byName, false, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +94,7 @@ func compileAll(res *lower.Result, opt CompileOptions) (*Program, error) {
 // unchecked) and reports the first construct that would force a
 // tree-walker fallback. Used by the check pass "vmcompile".
 func CheckProc(p *lower.Proc) error {
-	_, err := compileProc(nil, p, nil, true)
+	_, err := compileProc(nil, p, nil, true, nil)
 	return err
 }
 
@@ -123,15 +129,27 @@ type procComp struct {
 	depth   int
 	curNode cfg.NodeID
 	inDims  bool
+
+	// stubs are the path-counter stubs route allocated, in pseudo-node ID
+	// order (see route).
+	stubs []pathStub
 }
 
-func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose bool) (*procCode, error) {
+// pathStub is one instrumented edge: the k-th out-edge of from, leading to
+// node to.
+type pathStub struct {
+	from cfg.NodeID
+	k    int
+	to   cfg.NodeID
+}
+
+func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose bool, path *interp.PathProcSpec) (*procCode, error) {
 	c := &procComp{
 		res:      res,
 		p:        p,
 		byName:   byName,
 		loose:    loose,
-		out:      &procCode{proc: p, name: p.G.Name},
+		out:      &procCode{proc: p, name: p.G.Name, path: path},
 		valSlot:  make(map[string]int32),
 		refSlot:  make(map[string]int32),
 		arrSlot:  make(map[string]int32),
@@ -143,9 +161,16 @@ func compileProc(res *lower.Result, p *lower.Proc, byName map[string]int, loose 
 	if err := c.allocSlots(); err != nil {
 		return nil, err
 	}
+	if path != nil {
+		// The path register starts at 0 and the previous-path id at -1
+		// (none) in every activation: the frame template seeds both.
+		c.out.pathSlot = int32(len(c.out.valTemplate))
+		c.out.valTemplate = append(c.out.valTemplate, interp.Int(0), interp.Int(-1))
+	}
 	if err := c.compileBody(); err != nil {
 		return nil, err
 	}
+	c.emitPathStubs()
 	if err := c.compilePrologue(); err != nil {
 		return nil, err
 	}
@@ -261,6 +286,9 @@ func (c *procComp) compileOp(id cfg.NodeID, op lower.Op) error {
 	case lower.OpNop, lower.OpReturn:
 		return c.emitUncond(id)
 	case lower.OpEnd:
+		if c.out.path != nil {
+			c.emit(instr{op: opPathEnd, a: c.out.pathSlot})
+		}
 		c.emit(instr{op: opEnd})
 		return nil
 	case lower.OpStop:
@@ -706,14 +734,47 @@ func (c *procComp) dims(sym *lang.Symbol) error {
 }
 
 // flatEdge resolves (node, label) to the flat edge-counter index and the
-// target node, matching the tree-walker's first-match label search.
+// jump target (see route), matching the tree-walker's first-match label
+// search.
 func (c *procComp) flatEdge(from cfg.NodeID, label cfg.Label) (int32, cfg.NodeID, error) {
 	for k, e := range c.p.G.OutEdges(from) {
 		if e.Label == label {
-			return c.out.edgeOff[from] + int32(k), e.To, nil
+			return c.out.edgeOff[from] + int32(k), c.route(from, k, e.To), nil
 		}
 	}
 	return 0, 0, c.bail("edge", "no out-edge labelled %s from node %d", label, from)
+}
+
+// route returns the jump target for taking the k-th out-edge of from: the
+// edge's head node, or — when the path spec gives the edge an increment or
+// a bump — a pseudo-node ID past MaxID standing for the edge's counter
+// stub, which patch resolves like any node ID. Edges with no path work get
+// no stub, so their jumps (and the exec loop's threading across them) are
+// exactly the uninstrumented program's.
+func (c *procComp) route(from cfg.NodeID, k int, to cfg.NodeID) cfg.NodeID {
+	ps := c.out.path
+	if ps == nil || (ps.Inc[from][k] == 0 && !ps.Bump[from][k]) {
+		return to
+	}
+	c.stubs = append(c.stubs, pathStub{from: from, k: k, to: to})
+	return c.p.G.MaxID() + cfg.NodeID(len(c.stubs))
+}
+
+// emitPathStubs lays out the stubs route allocated after the body, before
+// the prologue. Every stub is a jump target, so fusion never folds one
+// into a neighbouring instruction.
+func (c *procComp) emitPathStubs() {
+	ps := c.out.path
+	for _, st := range c.stubs {
+		c.nodeIP = append(c.nodeIP, int32(len(c.out.ins)))
+		in := instr{op: opPathInc, a: int32(st.to), b: c.out.pathSlot, c: c.internConst(interp.Int(ps.Inc[st.from][st.k]))}
+		if ps.Bump[st.from][st.k] {
+			in.op = opPathBump
+			in.d = c.internConst(interp.Int(ps.Reset[st.from][st.k]))
+		}
+		idx := c.emit(in)
+		c.fix = append(c.fix, fixup{idx, 0})
+	}
 }
 
 // emitUncond terminates a node with its unconditional edge.
@@ -749,17 +810,21 @@ func (c *procComp) trip(key cfg.NodeID) int32 {
 
 // konst pushes an interned constant.
 func (c *procComp) konst(v interp.Value) {
+	c.emit(instr{op: opConst, a: c.internConst(v)})
+	c.depth++
+	if c.depth > c.out.maxStack {
+		c.out.maxStack = c.depth
+	}
+}
+
+func (c *procComp) internConst(v interp.Value) int32 {
 	idx, ok := c.constIdx[v]
 	if !ok {
 		idx = int32(len(c.out.consts))
 		c.out.consts = append(c.out.consts, v)
 		c.constIdx[v] = idx
 	}
-	c.emit(instr{op: opConst, a: idx})
-	c.depth++
-	if c.depth > c.out.maxStack {
-		c.out.maxStack = c.depth
-	}
+	return idx
 }
 
 func (c *procComp) internStr(s string) int32 {

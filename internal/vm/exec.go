@@ -1104,6 +1104,24 @@ activation:
 				counts.Activations++
 				ip = int(in.a)
 
+			// Path counter stubs (compiled in only under a PathSpec). Every
+			// jump into a stub already counted its edge; the stub applies
+			// the edge's Ball–Larus increment and jumps on.
+			case opPathInc:
+				vals[in.b].I += consts[in.c].I
+				ip = int(in.a)
+			case opPathBump:
+				// A back edge completes the current path: count it, then
+				// restart the register at the header's entry-dummy value.
+				reg := vals[in.b].I + consts[in.c].I
+				rs.paths[pi].Bump(vals[in.b+1].I, reg)
+				vals[in.b+1].I = reg
+				vals[in.b].I = consts[in.d].I
+				ip = int(in.a)
+			case opPathEnd:
+				rs.paths[pi].Bump(vals[in.a+1].I, vals[in.a].I)
+				ip++
+
 			case opEnd:
 				if len(calls) == 0 {
 					break activation
@@ -1120,7 +1138,7 @@ activation:
 				ip = int(top.ip)
 				continue activation
 			case opStop:
-				rs.recordStopFrame(pc, f, cfg.NodeID(in.a))
+				rs.recordStopFrame(pc, f, pi, cfg.NodeID(in.a))
 				retErr = errStop
 				break activation
 			default:
@@ -1147,7 +1165,7 @@ activation:
 			// This caller froze at its CALL (the instruction before the
 			// saved resume point; opCall is never fused, so .d is the CALL
 			// node). Frames land innermost-first, like the tree unwind.
-			rs.recordStopFrame(pc, f, cfg.NodeID(pc.ins[top.ip-1].d))
+			rs.recordStopFrame(pc, f, pi, cfg.NodeID(pc.ins[top.ip-1].d))
 		}
 	}
 	rs.calls = calls

@@ -44,6 +44,15 @@ var fusedForms = map[opcode]struct {
 	opActivateGoto:       {"ActivateGoto", []opcode{opActivate, opGoto}},
 }
 
+// pathOps are the Ball–Larus instrumentation opcodes. None is a
+// constituent of any fused form, so the lockstep walk below fails if
+// fusion ever folds a path stub (or a path commit) into a neighbour.
+var pathOps = map[opcode]string{
+	opPathInc:  "PathInc",
+	opPathBump: "PathBump",
+	opPathEnd:  "PathEnd",
+}
+
 // fuseWitnesses are hand-written programs that, together with a slice of
 // the progen corpus, make every superinstruction fire at least once.
 var fuseWitnesses = []string{
@@ -151,7 +160,10 @@ func fusedStreamMatchesPlain(name string, fused, plain []instr) (map[opcode]bool
 // that (a) every fused instruction in every compiled procedure is the
 // literal concatenation of its cataloged constituents, and (b) every
 // superinstruction in the catalog actually fires somewhere — so dead
-// patterns and uncataloged opcodes both fail loudly.
+// patterns and uncataloged opcodes both fail loudly. The same walk runs
+// over each program's Ball–Larus variant: (c) path opcodes pass through
+// fusion one for one, every path opcode occurs, and the stubs leave each
+// procedure's fused count unchanged.
 func TestFuseCatalog(t *testing.T) {
 	t.Parallel()
 	srcs := append([]string{}, fuseWitnesses...)
@@ -181,10 +193,38 @@ func TestFuseCatalog(t *testing.T) {
 				covered[op] = true
 			}
 		}
+		spec := pathSpec(t, res, false)
+		fusedVar, err := fusedProg.forSpec(spec)
+		if err != nil {
+			t.Fatalf("src %d: path variant: %v", si, err)
+		}
+		plainVar, err := plainProg.forSpec(spec)
+		if err != nil {
+			t.Fatalf("src %d: path variant nofuse: %v", si, err)
+		}
+		for pi, pc := range fusedVar.procs {
+			if _, err := fusedStreamMatchesPlain(pc.name, pc.ins, plainVar.procs[pi].ins); err != nil {
+				t.Fatalf("src %d path variant: %v", si, err)
+			}
+			if pc.fused != fusedProg.procs[pi].fused {
+				t.Errorf("src %d proc %s: path variant fused %d instructions, plain program %d",
+					si, pc.name, pc.fused, fusedProg.procs[pi].fused)
+			}
+			for _, in := range pc.ins {
+				if _, ok := pathOps[in.op]; ok {
+					covered[in.op] = true
+				}
+			}
+		}
 	}
 	for op, form := range fusedForms {
 		if !covered[op] {
 			t.Errorf("superinstruction %s never fired on the witness corpus", form.name)
+		}
+	}
+	for op, name := range pathOps {
+		if !covered[op] {
+			t.Errorf("path opcode %s never emitted on the witness corpus", name)
 		}
 	}
 }

@@ -307,7 +307,7 @@ func ComposeProgram(res *lower.Result, blobs map[string][]byte) (*Program, []str
 				continue
 			}
 		}
-		pc, err := compileProc(res, res.Procs[name], p.byName, false)
+		pc, err := compileProc(res, res.Procs[name], p.byName, false, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -9,7 +9,9 @@
 // Compile once per program, then run every profiling seed against the
 // shared Program; per-activation frames are recycled through per-procedure
 // pools so the steady-state run allocates only what the program itself
-// allocates (local arrays, by-value argument cells).
+// allocates (local arrays, by-value argument cells). Runs under a
+// Ball–Larus PathSpec execute a variant compiled once per spec with the
+// path counters in the instruction stream, through the same exec loop.
 //
 // The engine is bit-identical to the tree-walker in internal/interp: the
 // same step counts, node/edge counters, activation counts, float cost
@@ -115,6 +117,16 @@ const (
 	opArgLocal2      // opArgLocal(a) + opArgLocal(b)
 	opNodeArgLocal2  // opNode(f) + opArgLocal(a) + opArgLocal(b)
 	opActivateGoto   // opActivate + opGoto(a)
+
+	// Ball–Larus path instrumentation, emitted only into the plan-specific
+	// programs forSpec builds (never serialized: decode rejects every
+	// opcode past opActivateGoto). The path register and the previously
+	// completed path id live in frame value slots r and r+1. Stubs sit on
+	// the instrumented edges: the edge's jump lands on the stub, which
+	// updates the register and jumps on to the edge's real target.
+	opPathInc  // a=target, b=r, c=const idx of the edge increment
+	opPathBump // a=target, b=r, c=const idx of the increment, d=const idx of the reset value
+	opPathEnd  // a=r: count the activation's final path (precedes opEnd)
 )
 
 // instr is one fixed-width instruction. Field meaning depends on op; f is
@@ -170,7 +182,12 @@ type procCode struct {
 	maxStack  int
 	// fused counts the instructions eliminated by superinstruction fusion.
 	fused int
-	pool  sync.Pool
+	// path is the Ball–Larus instrumentation compiled into ins (nil when
+	// the procedure is uninstrumented); pathSlot is the value slot of its
+	// path register, followed by the previous-path id.
+	path     *interp.PathProcSpec
+	pathSlot int32
+	pool     sync.Pool
 }
 
 // frame is one pooled activation record.
@@ -216,6 +233,9 @@ type Program struct {
 	procs   []*procCode
 	byName  map[string]int
 	mainIdx int
+	// noFuse records CompileOptions.NoFuse, so path variants compile the
+	// same way as the program they instrument.
+	noFuse bool
 
 	// costCache memoizes per-node cost tables by model value, so running
 	// many seeds under one model prices the nodes once. Tables are
@@ -223,60 +243,42 @@ type Program struct {
 	costMu    sync.Mutex
 	costCache map[cost.Model][][]float64
 
-	// pathCache memoizes flattened Ball–Larus tables per PathSpec (by
+	// variants memoizes the path-instrumented program per PathSpec (by
 	// identity — specs are built once per Plans and shared), mirroring
-	// costCache: flatten once, run every seed.
-	pathMu    sync.Mutex
-	pathCache map[*interp.PathSpec][]*pathRT
+	// costCache: compile once, run every seed.
+	variantMu sync.Mutex
+	variants  map[*interp.PathSpec]*Program
 }
 
-// pathRT is one procedure's Ball–Larus instrumentation flattened onto the
-// VM's flat edge-counter indexing: inc/bump/reset[edgeOff[node]+k] mirror
-// the spec's [node][k] tables, so the exec loop applies them with the same
-// index it already uses to count the edge. Immutable after construction.
-type pathRT struct {
-	spec  *interp.PathProcSpec
-	inc   []int64
-	bump  []bool
-	reset []int64
+// forSpec returns the program a run under spec executes: p itself when
+// spec is nil, otherwise a variant recompiled from the lowered program
+// with the path counters compiled in (see route in compile.go), built on
+// first use.
+func (p *Program) forSpec(spec *interp.PathSpec) (*Program, error) {
+	if spec == nil {
+		return p, nil
+	}
+	p.variantMu.Lock()
+	defer p.variantMu.Unlock()
+	if v, ok := p.variants[spec]; ok {
+		return v, nil
+	}
+	v, err := compileAll(p.res, CompileOptions{NoFuse: p.noFuse}, spec)
+	if err != nil {
+		return nil, err
+	}
+	if p.variants == nil {
+		p.variants = make(map[*interp.PathSpec]*Program)
+	}
+	p.variants[spec] = v
+	return v, nil
 }
 
-// pathTables returns the per-proc flattened path tables for spec, building
-// them on first use. A nil entry means the procedure is uninstrumented.
-func (p *Program) pathTables(spec *interp.PathSpec) []*pathRT {
-	p.pathMu.Lock()
-	defer p.pathMu.Unlock()
-	if rts, ok := p.pathCache[spec]; ok {
-		return rts
-	}
-	rts := make([]*pathRT, len(p.procs))
-	for i, pc := range p.procs {
-		ps := spec.Procs[pc.name]
-		if ps == nil {
-			continue
-		}
-		rt := &pathRT{
-			spec:  ps,
-			inc:   make([]int64, pc.numEdges),
-			bump:  make([]bool, pc.numEdges),
-			reset: make([]int64, pc.numEdges),
-		}
-		g := pc.proc.G
-		for id := cfg.NodeID(1); id <= g.MaxID(); id++ {
-			off := int(pc.edgeOff[id])
-			for k := range g.OutEdges(id) {
-				rt.inc[off+k] = ps.Inc[id][k]
-				rt.bump[off+k] = ps.Bump[id][k]
-				rt.reset[off+k] = ps.Reset[id][k]
-			}
-		}
-		rts[i] = rt
-	}
-	if p.pathCache == nil {
-		p.pathCache = make(map[*interp.PathSpec][]*pathRT)
-	}
-	p.pathCache[spec] = rts
-	return rts
+// Instrument builds the variant that runs under spec ahead of the first
+// Run or RunBatch with it, which would otherwise build it on the spot.
+func (p *Program) Instrument(spec *interp.PathSpec) error {
+	_, err := p.forSpec(spec)
+	return err
 }
 
 // NumInstructions returns the total instruction count across procedures
@@ -346,48 +348,6 @@ type callSite struct {
 // errStop unwinds all frames on STOP, like the tree-walker's sentinel.
 var errStop = errors.New("stop")
 
-// pathTracer is one activation's Ball–Larus state: the path register, the
-// previously completed path id (pair mode), and the procedure's flattened
-// tables. A zero tracer (rt nil) is inert, so uninstrumented procedures —
-// and whole runs without a PathSpec — pay one predictable nil check per
-// taken edge and nothing else.
-type pathTracer struct {
-	rt   *pathRT
-	cnt  *interp.PathCounts
-	reg  int64
-	prev int64
-}
-
-// edge applies one taken edge by flat index. The split keeps the inert
-// check small enough to inline at every exec edge site; the register math
-// only runs for instrumented activations.
-func (pt *pathTracer) edge(flat int32) {
-	if pt.rt == nil {
-		return
-	}
-	pt.edgeSlow(flat)
-}
-
-func (pt *pathTracer) edgeSlow(flat int32) {
-	rt := pt.rt
-	pt.reg += rt.inc[flat]
-	if rt.bump[flat] {
-		// A back edge completes the current path: bump its counter and
-		// restart the register at the header's entry-dummy value.
-		pt.cnt.Bump(pt.prev, pt.reg)
-		pt.prev = pt.reg
-		pt.reg = rt.reset[flat]
-	}
-}
-
-// pathSave is one suspended caller's tracer on the explicit call stack,
-// parallel to callSite. node is the caller's CALL node, recorded so a STOP
-// unwinding through the frame can log an exact (node, register) partial.
-type pathSave struct {
-	pt   pathTracer
-	node int32
-}
-
 // runState is the per-run mutable state shared by all activations.
 type runState struct {
 	prog   *Program
@@ -400,29 +360,28 @@ type runState struct {
 	args   []argSlot
 	calls  []callSite
 	parts  []any
-	// pathRTs/paths are the per-proc Ball–Larus tables and counters; nil
-	// unless Options.PathSpec is set. pt is the live activation's tracer
-	// (kept here rather than in an exec local so the dispatch loop carries
-	// no extra live registers); pathCalls mirrors calls with the suspended
-	// callers' tracers (see exec).
-	pathRTs   []*pathRT
-	paths     []*interp.PathCounts
-	pt        pathTracer
-	pathCalls []pathSave
-	rng       uint64
-	steps     int64
-	max       int64
-	depth     int
+	// paths are the per-proc Ball–Larus counters; nil unless
+	// Options.PathSpec is set, and nil entries for uninstrumented procs.
+	paths []*interp.PathCounts
+	rng   uint64
+	steps int64
+	max   int64
+	depth int
 	// lane, when non-nil, supplies frames from the batch lane's arena
 	// instead of the shared per-procedure sync.Pools (see batch.go).
 	lane *laneArena
 }
 
 // recordStopFrame mirrors the tree-walker's: capture an activation's frozen
-// position and live DO registers as a STOP unwinds through it. VM trip
+// position and live DO registers as a STOP unwinds through it, plus the
+// (node, path register) prefix of an instrumented activation. VM trip
 // slots are allocated in compile order, so sort by test node to match the
 // tree-walker's dense ascending scan bit-for-bit.
-func (rs *runState) recordStopFrame(pc *procCode, f *frame, node cfg.NodeID) {
+func (rs *runState) recordStopFrame(pc *procCode, f *frame, pi int, node cfg.NodeID) {
+	if pc.path != nil {
+		cnt := rs.paths[pi]
+		cnt.Partials = append(cnt.Partials, interp.PathPartial{Node: node, Reg: f.vals[pc.pathSlot].I})
+	}
 	sf := interp.StopFrame{Proc: pc.name, Node: node}
 	for slot, rem := range f.trips {
 		if rem > 0 {
@@ -441,6 +400,10 @@ func (p *Program) Run(opt interp.Options) (*interp.Result, error) {
 	if opt.OnNode != nil {
 		opt.Engine = interp.EngineTree
 		return interp.Run(p.res, opt)
+	}
+	p, err := p.forSpec(opt.PathSpec)
+	if err != nil {
+		return nil, err
 	}
 	rs := &runState{
 		prog: p,
@@ -477,7 +440,7 @@ func (p *Program) Run(opt interp.Options) (*interp.Result, error) {
 		rs.costs = p.costTables(opt.Model)
 	}
 	rs.initPaths()
-	err := rs.runProc(p.mainIdx, nil, 0)
+	err = rs.runProc(p.mainIdx, nil, 0)
 	if errors.Is(err, errStop) {
 		rs.result.Stopped = true
 		err = nil
@@ -487,18 +450,16 @@ func (p *Program) Run(opt interp.Options) (*interp.Result, error) {
 }
 
 // initPaths builds the run's path-profiling state from Options.PathSpec:
-// flattened tables plus one PathCounts per instrumented procedure, exposed
-// on the Result exactly like the tree-walker's.
+// one PathCounts per instrumented procedure, exposed on the Result exactly
+// like the tree-walker's.
 func (rs *runState) initPaths() {
 	spec := rs.opt.PathSpec
 	if spec == nil {
 		return
 	}
-	rts := rs.prog.pathTables(spec)
-	rs.pathRTs = rts
 	rs.paths = make([]*interp.PathCounts, len(rs.prog.procs))
-	for i, rt := range rts {
-		if rt == nil {
+	for i, pc := range rs.prog.procs {
+		if pc.path == nil {
 			continue
 		}
 		// Lazy map creation matches the tree-walker: a spec with no
@@ -506,9 +467,9 @@ func (rs *runState) initPaths() {
 		if rs.result.Paths == nil {
 			rs.result.Paths = make(map[string]*interp.PathCounts)
 		}
-		pcn := interp.NewPathCounts(rt.spec, spec.MultiIter)
+		pcn := interp.NewPathCounts(pc.path, spec.MultiIter)
 		rs.paths[i] = pcn
-		rs.result.Paths[rs.prog.procs[i].name] = pcn
+		rs.result.Paths[pc.name] = pcn
 	}
 }
 
@@ -534,16 +495,7 @@ func (rs *runState) runProc(pi int, args []argSlot, callLine int) error {
 			f.refs[pb.slot] = args[i].cell
 		}
 	}
-	// Path-instrumented runs dispatch through execPaths, a twin of the
-	// exec loop with the per-edge Ball–Larus hooks compiled in; keeping
-	// exec itself hook-free preserves uninstrumented vm/vm-batch
-	// throughput (see exec_paths.go).
-	var err error
-	if rs.pathRTs != nil {
-		err = rs.execPaths(pc, f, pi)
-	} else {
-		err = rs.exec(pc, f, pi)
-	}
+	err := rs.exec(pc, f, pi)
 	if rs.lane != nil {
 		rs.lane.putFrame(pi, f)
 	} else {
